@@ -89,6 +89,10 @@ func main() {
 		PhaseMaxDriftHz: *phase,
 		Baseline:        *baseSys,
 	}
+	if err := jc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "msfleet:", err)
+		os.Exit(2)
+	}
 	cfg, err := jc.FleetConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "msfleet:", err)

@@ -89,6 +89,16 @@ type Harvester struct {
 	volts float64
 	// active reports whether the load is powered.
 	active bool
+	// memo caches Panel.PowerW: the simulators step every 10 ms at a
+	// fixed light level, and math.Pow dominated the step. The power
+	// depends only on the lux and the panel's fields, so the memo is
+	// keyed on those: editing or replacing Panel recomputes.
+	memo struct {
+		ok    bool
+		lux   float64
+		panel SolarPanel
+		w     float64
+	}
 }
 
 // NewHarvester returns a harvester with an empty capacitor.
@@ -105,7 +115,7 @@ func (h *Harvester) Active() bool { return h.active }
 // Step advances the simulation by dt seconds at the given illuminance and
 // reports whether the tag was active during the step.
 func (h *Harvester) Step(dt, lux float64) bool {
-	in := h.Panel.PowerW(lux)
+	in := h.powerW(lux)
 	if h.JitterPct > 0 && h.Rand != nil && in > 0 {
 		in *= 1 + h.JitterPct*h.Rand.NormFloat64()
 		if in < 0 {
@@ -135,6 +145,16 @@ func (h *Harvester) Step(dt, lux float64) bool {
 		}
 	}
 	return h.active
+}
+
+// powerW returns h.Panel.PowerW(lux), memoised.
+func (h *Harvester) powerW(lux float64) float64 {
+	m := &h.memo
+	if !m.ok || m.lux != lux || m.panel != *h.Panel {
+		m.ok, m.lux, m.panel = true, lux, *h.Panel
+		m.w = h.Panel.PowerW(lux)
+	}
+	return m.w
 }
 
 // ActiveSecondsPerRound returns how long one 50 mJ round powers a load.

@@ -173,3 +173,38 @@ func TestHarvesterDutyCycle(t *testing.T) {
 		t.Fatalf("indoor duty cycle = %v, want ≈0.0008", duty)
 	}
 }
+
+func TestHarvesterPowerMemo(t *testing.T) {
+	panel := NewMP337()
+	h := NewHarvester(panel, 0)
+	check := func(what string, lux float64) {
+		t.Helper()
+		if got, want := h.powerW(lux), h.Panel.PowerW(lux); got != want {
+			t.Fatalf("%s: memoised power %v, want %v", what, got, want)
+		}
+	}
+	check("first call", IndoorLux)
+	check("same lux", IndoorLux)
+	check("lux change", OutdoorLux)
+	check("darkness", 0)
+	panel.Exponent *= 1.1
+	check("panel exponent edited", 0)
+	check("panel exponent edited, lit", OutdoorLux)
+	panel.CoeffW *= 2
+	check("panel coefficient edited", OutdoorLux)
+	h.Panel = &SolarPanel{CoeffW: panel.CoeffW / 3, Exponent: panel.Exponent}
+	check("panel replaced", OutdoorLux)
+
+	// Through Step: a harvester whose panel is edited mid-run charges
+	// exactly like a fresh one built on the edited panel.
+	a := NewHarvester(NewMP337(), 0)
+	a.Step(0.01, IndoorLux)
+	a.Panel.CoeffW *= 4
+	b := NewHarvester(&SolarPanel{CoeffW: a.Panel.CoeffW, Exponent: a.Panel.Exponent}, 0)
+	b.volts = a.volts
+	a.Step(0.01, IndoorLux)
+	b.Step(0.01, IndoorLux)
+	if a.Voltage() != b.Voltage() {
+		t.Fatalf("edited panel: voltage %v, want %v", a.Voltage(), b.Voltage())
+	}
+}

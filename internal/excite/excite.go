@@ -129,7 +129,20 @@ func Timeline(sources []Source, span time.Duration, rng *rand.Rand) []Event {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	var events []Event
+	events, ends := sourceRuns(sources, span, rng)
+	if merged, ok := mergeRuns(events, ends); ok {
+		return merged
+	}
+	// Two sources share a start time. sort.Slice is not stable, so
+	// only it reproduces the order such ties have always taken.
+	sort.Slice(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+	return events
+}
+
+// sourceRuns draws every source's arrivals in source order and returns
+// them concatenated, with ends[i] closing the run of the i-th source
+// with a positive rate. Each run is in ascending start order.
+func sourceRuns(sources []Source, span time.Duration, rng *rand.Rand) (events []Event, ends []int) {
 	for idx, s := range sources {
 		if s.PacketRate <= 0 {
 			continue
@@ -147,9 +160,41 @@ func Timeline(sources []Source, span time.Duration, rng *rand.Rand) []Event {
 			}
 			t += time.Duration(rng.ExpFloat64() * float64(mean))
 		}
+		ends = append(ends, len(events))
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-	return events
+	return events, ends
+}
+
+// mergeRuns k-way merges the start-sorted runs of events ending at the
+// offsets in ends. Events of one source that share a start are equal
+// values, so the merge equals any sort by start — sort.Slice's order
+// included — unless two different sources share a start, in which case
+// it reports false and the caller sorts instead. Events is not
+// modified.
+func mergeRuns(events []Event, ends []int) ([]Event, bool) {
+	if len(ends) <= 1 || len(events) == 0 {
+		return events, true
+	}
+	heads := make([]int, len(ends))
+	for i := 1; i < len(ends); i++ {
+		heads[i] = ends[i-1]
+	}
+	out := make([]Event, 0, len(events))
+	for len(out) < len(events) {
+		best := -1
+		for r, h := range heads {
+			if h < ends[r] && (best < 0 || events[h].Start < events[heads[best]].Start) {
+				best = r
+			}
+		}
+		e := events[heads[best]]
+		heads[best]++
+		if n := len(out); n > 0 && out[n-1].Start == e.Start && out[n-1].Source != e.Source {
+			return nil, false
+		}
+		out = append(out, e)
+	}
+	return out, true
 }
 
 // CollisionFlags marks, for every event of a start-sorted timeline,

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -110,6 +111,41 @@ func (jc *JobConfig) Normalize() {
 	if jc.BucketMS <= 0 {
 		jc.BucketMS = 500
 	}
+}
+
+// maxDB is the largest decibel value whose power ratio 10^(dB/10) is a
+// finite float64 (≈3083 dB). A larger shadowing σ or capture margin
+// names no power ratio at all; a σ near MaxFloat64 overflowed the
+// shadowing draws and left ±Inf in the result.
+var maxDB = 10 * math.Log10(math.MaxFloat64)
+
+// Validate rejects physical parameters no run can use: a non-finite or
+// negative floor size, shadowing σ, light level, phase drift cap or
+// capture margin, and a decibel value beyond maxDB. Zero means "take
+// the default", so Validate checks the config as submitted, before
+// Normalize replaces zero and negative fields with defaults.
+func (jc JobConfig) Validate() error {
+	fields := []struct {
+		name  string
+		v     float64
+		maxDB bool
+	}{
+		{"floor_w_m", jc.FloorW, false},
+		{"floor_h_m", jc.FloorH, false},
+		{"capture_db", jc.CaptureDB, true},
+		{"shadow_sigma_db", jc.ShadowSigmaDB, true},
+		{"lux", jc.Lux, false},
+		{"phase_max_drift_hz", jc.PhaseMaxDriftHz, false},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("%s must be finite and non-negative, got %v", f.name, f.v)
+		}
+		if f.maxDB && f.v > maxDB {
+			return fmt.Errorf("%s %v dB exceeds %.0f dB, the largest finite power ratio", f.name, f.v, maxDB)
+		}
+	}
+	return nil
 }
 
 // Span returns the simulated span as a Duration.

@@ -400,8 +400,7 @@ func (m *Manager) Pool() *fleet.Pool { return m.pool }
 // Submit admits a job: validates it against the limits, assigns an ID,
 // and queues it. The returned Job is live immediately.
 func (m *Manager) Submit(jc JobConfig) (*Job, error) {
-	jc.Normalize()
-	if err := m.admit(jc); err != nil {
+	if err := m.admit(&jc); err != nil {
 		m.obs.Counter("serve.jobs_rejected").Inc()
 		return nil, err
 	}
@@ -448,8 +447,13 @@ func (m *Manager) Submit(jc JobConfig) (*Job, error) {
 	return job, nil
 }
 
-// admit checks a normalized config against the limits.
-func (m *Manager) admit(jc JobConfig) error {
+// admit validates the submitted config, normalizes it in place, and
+// checks it against the limits.
+func (m *Manager) admit(jc *JobConfig) error {
+	if err := jc.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrRejected, err)
+	}
+	jc.Normalize()
 	if _, err := excite.FindScenario(jc.Scenario); err != nil {
 		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
@@ -653,7 +657,7 @@ func (m *Manager) runJob(job *Job) {
 }
 
 // finishJob records the outcome on the job, folds its metrics into the
-// merged snapshot, and bumps the service counters.
+// merged snapshot, bumps the service counters, and then closes Done.
 func (m *Manager) finishJob(job *Job, res *fleet.Result, raw []byte, snap obs.Snapshot, evs []ptrace.Event, err error) {
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -678,7 +682,9 @@ func (m *Manager) finishJob(job *Job, res *fleet.Result, raw []byte, snap obs.Sn
 	state := job.state
 	started, submitted, finished := job.started, job.submitted, job.finished
 	job.mu.Unlock()
-	close(job.done)
+	// Done is closed last, so a caller woken by it already sees the
+	// job in the latency histograms, merged metrics and counters.
+	defer close(job.done)
 
 	if !started.IsZero() {
 		m.lat.run.Observe(float64(finished.Sub(started)) / 1e6)

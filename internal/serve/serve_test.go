@@ -6,8 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -484,5 +487,74 @@ func TestDoubleDeckerJob(t *testing.T) {
 	}
 	if pcfg.Phase == nil || pcfg.Phase.MaxDriftHz != 75 {
 		t.Fatalf("phase knob not mapped: %+v", pcfg.Phase)
+	}
+}
+
+// TestRejectsUnusableFloats pins admission of the physical float
+// fields: a negative or overflowing value is a 400 over POST /jobs, and
+// a non-finite one (which JSON cannot carry) is ErrRejected at Submit.
+// Before validation, shadow_sigma_db 1e308 ran the whole job and then
+// failed at marshal on a ±Inf in the result.
+func TestRejectsUnusableFloats(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(Config{PoolWorkers: 1, Obs: reg})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m, reg))
+	defer srv.Close()
+
+	cases := []struct {
+		field string
+		value float64
+	}{
+		{"shadow_sigma_db", -1},
+		{"shadow_sigma_db", 1e308},
+		{"floor_w_m", -5},
+		{"floor_h_m", -0.5},
+		{"phase_max_drift_hz", -10},
+		{"lux", -500},
+		{"capture_db", -3},
+		{"capture_db", 1e308},
+	}
+	for _, tc := range cases {
+		body := `{"scenario":"home","tags":3,"span_ms":250,"` + tc.field + `":` + strconv.FormatFloat(tc.value, 'g', -1, 64) + `}`
+		resp, err := http.Post(srv.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.field) {
+			t.Errorf("%s=%v: status %d body %q, want 400 naming the field", tc.field, tc.value, resp.StatusCode, msg)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*JobConfig){
+			func(jc *JobConfig) { jc.ShadowSigmaDB = v },
+			func(jc *JobConfig) { jc.FloorW = v },
+			func(jc *JobConfig) { jc.FloorH = v },
+			func(jc *JobConfig) { jc.PhaseMaxDriftHz = v },
+			func(jc *JobConfig) { jc.Lux = v },
+			func(jc *JobConfig) { jc.CaptureDB = v },
+		} {
+			jc := smallJob(1)
+			set(&jc)
+			if _, err := m.Submit(jc); !errors.Is(err, ErrRejected) {
+				t.Errorf("%+v: want ErrRejected, got %v", jc, err)
+			}
+		}
+	}
+	if len(m.Jobs()) != 0 {
+		t.Fatalf("%d rejected jobs were queued", len(m.Jobs()))
+	}
+	// The largest finite values that still name a run are admitted.
+	jc := smallJob(1)
+	jc.ShadowSigmaDB, jc.Lux, jc.PhaseMaxDriftHz = 3000, 1e308, 1e308
+	j, err := m.Submit(jc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("boundary job ended %s: %s", j.State(), j.Err())
 	}
 }

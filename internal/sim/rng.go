@@ -58,6 +58,11 @@ func SeedRNG(seed, stream int64) *rand.Rand {
 // no consumption order or goroutine schedule can perturb another site.
 // Site 0 is the plain stream: SeedRNGAt(seed, stream, 0) == SeedRNG(seed,
 // stream).
+//
+// The returned generator's stream is bit-identical to
+// rand.New(rand.NewSource(mixed)), but its source is seeded lazily (see
+// lazySource): most sites make a few draws, and building math/rand's
+// full register for each of them dominated a small fleet run.
 func SeedRNGAt(seed, stream int64, site uint64) *rand.Rand {
 	z := uint64(seed)
 	z ^= uint64(stream) * 0x9E3779B97F4A7C15
@@ -68,5 +73,5 @@ func SeedRNGAt(seed, stream int64, site uint64) *rand.Rand {
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return rand.New(newLazySource(int64(z)))
 }
