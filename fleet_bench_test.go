@@ -1,8 +1,9 @@
 // Fleet benchmarks: the concurrent multi-tag deployment engine at 100
 // and 1000 tags, each at workers=1 and workers=NumCPU, so the speedup of
 // the sharded pool (and the determinism across pool sizes) is measurable
-// with `go test -bench Fleet -benchtime 1x`. EXPERIMENTS.md records the
-// numbers.
+// with `go test -bench Fleet -benchtime 1x`. Each benchmark asserts the
+// outcome regime it documents, so a workload cannot silently drift into
+// another one. EXPERIMENTS.md records the numbers.
 package multiscatter_test
 
 import (
@@ -37,25 +38,46 @@ func fleetBenchConfig(n int, span time.Duration, workers int) multiscatter.Fleet
 	}
 }
 
+// denseCollapse checks the cross-collision collapse regime: with every
+// tag backscattering every packet, no tag clears the capture margin, so
+// nothing is delivered and most outcomes are cross-tag collisions.
+func denseCollapse(res *multiscatter.FleetResult) error {
+	total := 0
+	for _, n := range res.Outcomes {
+		total += n
+	}
+	delivered := res.Outcomes[sim.Delivered] + res.Outcomes[sim.DecodedConcurrent]
+	cross := res.Outcomes[sim.CrossCollided]
+	if delivered != 0 || 2*cross <= total {
+		return fmt.Errorf("not the dense-collapse regime: %d delivered, %d of %d outcomes cross-collided",
+			delivered, cross, total)
+	}
+	return nil
+}
+
 func benchmarkFleet(b *testing.B, n int, span time.Duration) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := fleetBenchConfig(n, span, workers)
 			b.ReportAllocs()
-			var delivered int
+			var res *multiscatter.FleetResult
 			for i := 0; i < b.N; i++ {
-				res, err := multiscatter.RunFleet(cfg)
-				if err != nil {
+				var err error
+				if res, err = multiscatter.RunFleet(cfg); err != nil {
 					b.Fatal(err)
 				}
-				delivered = res.Outcomes[sim.Delivered]
+			}
+			if err := denseCollapse(res); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportMetric(float64(n), "tags")
-			b.ReportMetric(float64(delivered), "delivered")
+			b.ReportMetric(float64(res.Outcomes[sim.Delivered]), "delivered")
 		})
 	}
 }
 
+// BenchmarkFleet100Tags and BenchmarkFleet1000Tags run the documented
+// dense-collapse regime (EXPERIMENTS.md "Fleet scaling").
 func BenchmarkFleet100Tags(b *testing.B) {
 	benchmarkFleet(b, 100, 2*time.Second)
 }

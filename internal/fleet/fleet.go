@@ -246,34 +246,6 @@ func PlaceReceivers(k int, w, h float64) []ReceiverSpec {
 	return out
 }
 
-// contention aggregates, for one (receiver, packet) pair, which tags
-// backscattered the packet. Merged serially in tag-ID order, so the
-// winner of an RSSI tie is the lowest tag ID and the aggregate is
-// deterministic.
-type contention struct {
-	count      int32
-	bestTag    int32
-	bestRSSI   float64
-	secondRSSI float64
-}
-
-// add merges one tag's response. Callers MUST add in ascending tag-ID
-// order (the serial merge does): the strictly-greater comparisons then
-// make the lowest tag ID the deterministic winner of an exact RSSI tie.
-// Pinned by TestContentionTieBreak.
-func (c *contention) add(tag int32, rssi float64) {
-	c.count++
-	switch {
-	case c.count == 1:
-		c.bestTag, c.bestRSSI, c.secondRSSI = tag, rssi, math.Inf(-1)
-	case rssi > c.bestRSSI:
-		c.secondRSSI = c.bestRSSI
-		c.bestTag, c.bestRSSI = tag, rssi
-	case rssi > c.secondRSSI:
-		c.secondRSSI = rssi
-	}
-}
-
 // durBits is one resolved packet-capacity row: the overlay bit counts of
 // a packet of the given on-air duration.
 type durBits struct {
@@ -305,9 +277,10 @@ type tagRun struct {
 	linkLookups int64
 	bitsLookups int64
 
-	// responses lists the timeline indices this tag backscattered
-	// (awake, clean, identified, supported).
-	responses []int32
+	// responded marks the timeline packets this tag backscattered
+	// (awake, clean, identified, supported): one bit per packet, cut
+	// from a slab shared by every tag of the run.
+	responded bitset
 	// counts[protocol][outcome] accumulates the packet fates.
 	counts  [protocolSlots][outcomeSlots]int
 	packets [protocolSlots]int
@@ -320,7 +293,7 @@ type tagRun struct {
 // trace1 records one lifecycle stage event for timeline packet i. Only
 // called behind a `traced` guard, so the disabled path never builds an
 // Event.
-func (t *tagRun) trace1(tr *ptrace.ShardRecorder, e excite.Event, i int, stage ptrace.Stage, detail string) {
+func (t *tagRun) trace1(tr *ptrace.ShardRecorder, e *excite.Event, i int, stage ptrace.Stage, detail string) {
 	ev := tr.Alloc()
 	ev.TUS = int64(e.Start / time.Microsecond)
 	ev.Tag = int32(t.id)
@@ -331,7 +304,7 @@ func (t *tagRun) trace1(tr *ptrace.ShardRecorder, e excite.Event, i int, stage p
 }
 
 // trace2 records a stage verdict plus the lifecycle's final outcome.
-func (t *tagRun) trace2(tr *ptrace.ShardRecorder, e excite.Event, i int, stage ptrace.Stage, detail string, out sim.Outcome) {
+func (t *tagRun) trace2(tr *ptrace.ShardRecorder, e *excite.Event, i int, stage ptrace.Stage, detail string, out sim.Outcome) {
 	t.trace1(tr, e, i, stage, detail)
 	t.trace1(tr, e, i, ptrace.StageOutcome, out.String())
 }
@@ -442,7 +415,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Shared excitation timeline and its tag-side collision flags: both
 	// are properties of the air, identical for every tag, so they are
-	// computed once and shared read-only across the pool.
+	// computed once, packed into one byte per packet, and shared
+	// read-only across the pool.
 	tTimeline := time.Now()
 	events := excite.Timeline(cfg.Sources, cfg.Span, sim.SeedRNG(cfg.Seed, sim.StreamFleetTimeline))
 	cfg.Obs.Stage("fleet.timeline").ObserveSince(tTimeline)
@@ -450,24 +424,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fleet: timeline has %d packets, budget %d: %w",
 			len(events), cfg.MaxEvents, ErrBudget)
 	}
-	collided := excite.CollisionFlags(events)
-	exciteCollided := 0
-	for _, c := range collided {
-		if c {
-			exciteCollided++
-		}
-	}
+	kinds, perProto, exciteCollided := packKinds(events, excite.CollisionFlags(events))
 
 	bucketDur := time.Duration(cfg.BucketMS) * time.Millisecond
 	numBuckets := int(cfg.Span/bucketDur) + 1
 
 	// Per-tag state: receiver assignment, link-cache bucket, profile.
+	// Every tag sees every packet, so its per-protocol packet counts are
+	// the timeline's; its response bitset is cut from one slab.
 	cache := newLinkCache(cfg.Channel, cfg.DistanceBucketM, cfg.Seed,
 		cfg.Phase, cfg.Baseline == BaselineDoubleDecker)
 	tags := make([]*tagRun, len(cfg.Tags))
 	modes := map[overlay.Mode]bool{}
+	words := wordsFor(len(events))
+	slab := make([]uint64, len(tags)*words)
 	for i, spec := range cfg.Tags {
-		t := &tagRun{spec: spec, id: i, mode: spec.Mode, buckets: make([]float64, numBuckets)}
+		t := &tagRun{spec: spec, id: i, mode: spec.Mode, packets: perProto,
+			buckets: make([]float64, numBuckets)}
+		t.responded = bitset(slab[i*words : (i+1)*words : (i+1)*words])
 		if t.mode == 0 {
 			t.mode = overlay.Mode1
 		}
@@ -620,9 +594,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if tr != nil {
 				modeStr = t.mode.String() // hoisted: Mode.String formats
 			}
-			for i, e := range events {
-				p := e.Protocol
-				t.packets[p]++
+			for i, k := range kinds {
+				// e is dereferenced only for traced packets and harvester
+				// stepping; the sweep itself reads the packed kind.
+				e, p := &events[i], protocolOf(k)
 				// Tracing pays one nil check per packet when off; all
 				// event construction sits behind `traced`.
 				traced := traceMask != nil && traceMask[i]
@@ -634,7 +609,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					ev.Packet = int32(i)
 					ev.Proto = p.String()
 					ev.Stage = ptrace.StageExcite
-					if collided[i] {
+					if k&kindCollided != 0 {
 						ev.Detail = "air-collided"
 					}
 				}
@@ -663,7 +638,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 						t.trace1(tr, e, i, ptrace.StageEnergy, "awake")
 					}
 				}
-				if collided[i] {
+				if k&kindCollided != 0 {
 					t.counts[p][sim.Collided]++
 					if traced {
 						t.trace2(tr, e, i, ptrace.StageIdentify, "air-collision", sim.Collided)
@@ -688,7 +663,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 					t.trace1(tr, e, i, ptrace.StageIdentify, "ok")
 					t.trace1(tr, e, i, ptrace.StagePlan, modeStr)
 				}
-				t.responses = append(t.responses, int32(i))
+				t.responded.set(i)
+				// The contention merge reads this response's working point.
+				t.linkLookups++
 			}
 		}
 	}))
@@ -697,24 +674,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fleet: run aborted: %w", err)
 	}
 
-	// Merge — cross-tag contention: serial, in tag-ID order, so RSSI
-	// ties resolve to the lowest tag ID deterministically. Two tags
-	// backscattering the same excitation packet toward the same receiver
-	// interfere; the receiver captures the strongest only if it clears
-	// the capture margin.
+	// Merge — cross-tag contention: two tags backscattering the same
+	// excitation packet toward the same receiver interfere; the receiver
+	// captures the strongest only if it clears the capture margin. The
+	// merge is sharded by packet range (each cell has one writer that
+	// adds tags in ID order), so RSSI ties resolve to the lowest
+	// tag ID. Its shards are not shardObs-wrapped: fleet.shard_runs and
+	// fleet.shard_ns count the identify and downlink shards.
 	tContention := time.Now()
-	cont := make([][]contention, len(receivers))
-	for ri := range cont {
-		cont[ri] = make([]contention, len(events))
+	mergeShards := words
+	if mergeShards > maxShards {
+		mergeShards = maxShards
 	}
-	for _, t := range tags {
-		t.linkLookups += int64(len(t.responses))
-		for _, ei := range t.responses {
-			p := events[ei].Protocol
-			cont[t.rx][ei].add(int32(t.id), t.linked[p].RSSIdBm)
-		}
-	}
-
+	cont := mergeContention(ctx, cfg.Pool, cfg.Workers, mergeShards, tags, kinds, len(receivers))
 	cfg.Obs.Stage("fleet.contention").ObserveSince(tContention)
 
 	// Phase 2 — downlink: winners of the contention deliver their
@@ -723,94 +695,98 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	runShards(ctx, cfg.Pool, cfg.Workers, numShards, shardObs(func(shard int) {
 		rng := sim.SeedRNG(cfg.Seed+int64(shard), sim.StreamFleetDownlink)
 		tr := cfg.Trace.Shard(shard)
+		diverge := DivergeHook
 		for _, t := range shardTags[shard] {
-			for _, ei := range t.responses {
-				e := events[ei]
-				p := e.Protocol
-				c := &cont[t.rx][ei]
-				traced := traceMask != nil && traceMask[ei]
-				// Concurrent OFDM joint decode: a collision of up to
-				// ConcurrentOFDM tags on an 802.11n packet is not arbitrated
-				// by capture at all — every participant rides its own
-				// subcarrier group (ofdm.AssignConcurrent) and the receiver
-				// separates them jointly. The decision depends only on the
-				// shared contention count, so it is identical for every
-				// participant and at any Workers value.
-				joint := p == radio.Protocol80211n && c.count > 1 &&
-					cfg.ConcurrentOFDM > 1 && int(c.count) <= cfg.ConcurrentOFDM
-				// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
-				// a margin strictly below CaptureDB loses; exactly CaptureDB
-				// is captured. An exact RSSI tie makes the margin 0 (< any
-				// positive CaptureDB), but bestTag — the lowest tag ID, by
-				// merge order — is still the deterministic capture candidate.
-				lost := !joint && c.count > 1 &&
-					(c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < cfg.CaptureDB)
-				if DivergeHook != nil && DivergeHook(cfg.Workers, t.id, int(ei)) {
-					lost, joint = true, false
-				}
-				if lost {
-					t.counts[p][sim.CrossCollided]++
+			row := cont[t.rx]
+			for w, word := range t.responded {
+				for ; word != 0; word &= word - 1 {
+					ei := bitIndex(w, word)
+					e, p := &events[ei], protocolOf(kinds[ei])
+					c := &row[ei]
+					traced := traceMask != nil && traceMask[ei]
+					// Concurrent OFDM joint decode: a collision of up to
+					// ConcurrentOFDM tags on an 802.11n packet is not arbitrated
+					// by capture at all — every participant rides its own
+					// subcarrier group (ofdm.AssignConcurrent) and the receiver
+					// separates them jointly. The decision depends only on the
+					// shared contention count, so it is identical for every
+					// participant and at any Workers value.
+					joint := p == radio.Protocol80211n && c.count > 1 &&
+						cfg.ConcurrentOFDM > 1 && int(c.count) <= cfg.ConcurrentOFDM
+					// Capture-loss boundary (pinned by TestCaptureMarginBoundary):
+					// a margin strictly below CaptureDB loses; exactly CaptureDB
+					// is captured. An exact RSSI tie makes the margin 0 (< any
+					// positive CaptureDB), but bestTag — the lowest tag ID, by
+					// merge order — is still the deterministic capture candidate.
+					lost := !joint && c.count > 1 &&
+						(c.bestTag != int32(t.id) || c.bestRSSI-c.secondRSSI < cfg.CaptureDB)
+					if diverge != nil && diverge(cfg.Workers, t.id, ei) {
+						lost, joint = true, false
+					}
+					if lost {
+						t.counts[p][sim.CrossCollided]++
+						if traced {
+							t.trace2(tr, e, ei, ptrace.StageChannel,
+								detailN("cross-collided n=", c.count), sim.CrossCollided)
+						}
+						continue
+					}
 					if traced {
-						t.trace2(tr, e, int(ei), ptrace.StageChannel,
-							detailN("cross-collided n=", c.count), sim.CrossCollided)
+						switch {
+						case joint:
+							t.trace1(tr, e, ei, ptrace.StageChannel,
+								detailN("joint-ofdm n=", c.count))
+						case c.count > 1:
+							t.trace1(tr, e, ei, ptrace.StageChannel,
+								detailCaptured(c.count, c.bestRSSI-c.secondRSSI))
+						default:
+							t.trace1(tr, e, ei, ptrace.StageChannel, "clear")
+						}
 					}
-					continue
-				}
-				if traced {
-					switch {
-					case joint:
-						t.trace1(tr, e, int(ei), ptrace.StageChannel,
-							detailN("joint-ofdm n=", c.count))
-					case c.count > 1:
-						t.trace1(tr, e, int(ei), ptrace.StageChannel,
-							detailCaptured(c.count, c.bestRSSI-c.secondRSSI))
-					default:
-						t.trace1(tr, e, int(ei), ptrace.StageChannel, "clear")
+					t.linkLookups++
+					entry := t.linked[p]
+					if !entry.InRange {
+						t.counts[p][sim.LostDownlink]++
+						if traced {
+							t.trace2(tr, e, ei, ptrace.StageDemod, "out-of-range", sim.LostDownlink)
+						}
+						continue
 					}
-				}
-				t.linkLookups++
-				entry := t.linked[p]
-				if !entry.InRange {
-					t.counts[p][sim.LostDownlink]++
+					if entry.PERTag > 0 && rng.Float64() < entry.PERTag {
+						t.counts[p][sim.LostDownlink]++
+						if traced {
+							t.trace2(tr, e, ei, ptrace.StageDemod,
+								detailPERLoss(entry.PERTag), sim.LostDownlink)
+						}
+						continue
+					}
+					outcome := sim.Delivered
+					if joint {
+						outcome = sim.DecodedConcurrent
+					}
+					t.counts[p][outcome]++
+					bits := -1
+					for _, db := range t.bitsTab[p] {
+						if db.dur == e.Duration {
+							t.bitsLookups++
+							bits = db.tag
+							break
+						}
+					}
+					if bits < 0 {
+						// Duration absent from the resolved table (a source
+						// shape the prefill did not anticipate): fall back to
+						// the shared cache, which counts its own traffic.
+						_, bits = cache.packetBits(p, e.Duration, t.mode)
+					}
+					t.tagBits[p] += bits
+					if b := int(e.Start / bucketDur); b < len(t.buckets) {
+						t.buckets[b] += float64(bits)
+					}
 					if traced {
-						t.trace2(tr, e, int(ei), ptrace.StageDemod, "out-of-range", sim.LostDownlink)
+						t.trace2(tr, e, ei, ptrace.StageDemod,
+							detailDelivered(entry.RSSIdBm, bits), outcome)
 					}
-					continue
-				}
-				if entry.PERTag > 0 && rng.Float64() < entry.PERTag {
-					t.counts[p][sim.LostDownlink]++
-					if traced {
-						t.trace2(tr, e, int(ei), ptrace.StageDemod,
-							detailPERLoss(entry.PERTag), sim.LostDownlink)
-					}
-					continue
-				}
-				outcome := sim.Delivered
-				if joint {
-					outcome = sim.DecodedConcurrent
-				}
-				t.counts[p][outcome]++
-				bits := -1
-				for _, db := range t.bitsTab[p] {
-					if db.dur == e.Duration {
-						t.bitsLookups++
-						bits = db.tag
-						break
-					}
-				}
-				if bits < 0 {
-					// Duration absent from the resolved table (a source
-					// shape the prefill did not anticipate): fall back to
-					// the shared cache, which counts its own traffic.
-					_, bits = cache.packetBits(p, e.Duration, t.mode)
-				}
-				t.tagBits[p] += bits
-				if b := int(e.Start / bucketDur); b < len(t.buckets) {
-					t.buckets[b] += float64(bits)
-				}
-				if traced {
-					t.trace2(tr, e, int(ei), ptrace.StageDemod,
-						detailDelivered(entry.RSSIdBm, bits), outcome)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -152,7 +153,14 @@ func TestLatencyHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Read to EOF before snapshotting: streamJob observes stream_ms in a
+	// defer, and the chunked body's terminating chunk is written only
+	// after the handler (defers included) returns.
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification gate: build, vet, race-enabled tests, golden replay
-# diff, a short overlay fuzz smoke, and the msserve end-to-end smoke
-# (race-built server, byte-identical results, graceful drain). Mirrors
-# `make check` for environments without make.
+# diff, a short overlay fuzz smoke, the msserve end-to-end smoke
+# (race-built server, byte-identical results, graceful drain), and the
+# repository benchmark's smoke test. Mirrors `make check` for
+# environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,6 +25,8 @@ echo "== overlay fuzz smoke (5s)"
 go test -run - -fuzz FuzzPlanInvariants -fuzztime 5s ./internal/overlay
 echo "== serve smoke (msserve + msload byte-identical, race-built)"
 sh scripts/serve_smoke.sh
+echo "== perfbench smoke (every workload at minimal size; fleet-dense digests at Workers=1 and nproc must match)"
+(cd perfbench && go test ./...)
 if [ "${MS_SKIP_BENCH:-}" = "1" ]; then
     echo "== bench-compare (skipped: MS_SKIP_BENCH=1)"
 else
