@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -45,8 +47,17 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBody))
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad job config: "+err.Error(), status)
+			return
+		}
 		var jc JobConfig
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&jc); err != nil {
 			http.Error(w, "bad job config: "+err.Error(), http.StatusBadRequest)
@@ -205,6 +216,10 @@ func Handler(m *Manager, reg *obs.Registry) http.Handler {
 	return mux
 }
 
+// maxJobBody caps a POST /jobs body; a JobConfig encodes in under 1 KB.
+// A larger body is answered 413 before anything is decoded.
+const maxJobBody = 1 << 20
+
 // submitStatus maps Submit errors to HTTP status codes.
 func submitStatus(err error) int {
 	switch {
@@ -260,11 +275,22 @@ func streamJob(m *Manager, w http.ResponseWriter, r *http.Request, job *Job) {
 		}
 	}
 	st := job.State()
-	switch st {
-	case StateDone:
-		emit(jobEvent{Event: "result", ID: job.ID, State: st, Result: job.ResultJSON()})
-	default:
+	if st != StateDone {
 		emit(jobEvent{Event: "error", ID: job.ID, State: st, Error: job.Err()})
+		return
+	}
+	// The result line is json.Marshal(jobEvent{..., Result: raw}) + "\n",
+	// written in parts so the stored result bytes go out verbatim rather
+	// than being re-validated and re-compacted as a RawMessage.
+	head, err := json.Marshal(jobEvent{Event: "result", ID: job.ID, State: st})
+	if err != nil {
+		return
+	}
+	w.Write(append(head[:len(head)-1], `,"result":`...))
+	w.Write(job.ResultJSON())
+	w.Write([]byte("}\n"))
+	if flusher != nil {
+		flusher.Flush()
 	}
 }
 

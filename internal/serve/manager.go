@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -646,7 +645,7 @@ func (m *Manager) runJob(job *Job) {
 	res, err := fleet.RunContext(runCtx, fleetCfg)
 	var raw []byte
 	if err == nil {
-		raw, err = json.Marshal(res)
+		raw, err = encodeResult(res)
 	}
 	var evs []ptrace.Event
 	if err == nil && rec != nil {
@@ -654,6 +653,26 @@ func (m *Manager) runJob(job *Job) {
 		ptrace.SetLast(evs)
 	}
 	m.finishJob(job, res, raw, jobReg.Snapshot(), evs, err)
+}
+
+// resultBufs recycles the scratch buffers results are encoded into.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeResult encodes res once, for the job table and every stream of
+// it. The bytes equal json.Marshal(res). The job keeps an exact-size
+// copy (cap == len): the table holds every finished job's result, so
+// spare capacity left by append growth would stay on the heap with it.
+func encodeResult(res *fleet.Result) ([]byte, error) {
+	bp := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(bp)
+	buf, err := res.AppendJSON((*bp)[:0])
+	if err != nil {
+		return nil, fmt.Errorf("encode result: %w", err)
+	}
+	*bp = buf[:0]
+	raw := make([]byte, len(buf))
+	copy(raw, buf)
+	return raw, nil
 }
 
 // finishJob records the outcome on the job, folds its metrics into the

@@ -558,3 +558,123 @@ func TestRejectsUnusableFloats(t *testing.T) {
 		t.Fatalf("boundary job ended %s: %s", j.State(), j.Err())
 	}
 }
+
+// TestOversizedJobBody pins the POST /jobs body cap: a 2 MiB body is
+// answered 413 and admits nothing.
+func TestOversizedJobBody(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(Config{PoolWorkers: 1, Obs: reg})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m, reg))
+	defer srv.Close()
+
+	body := `{"scenario":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted from an oversized body", n)
+	}
+	if n := reg.Snapshot().Counters["serve.jobs_submitted"]; n != 0 {
+		t.Fatalf("serve.jobs_submitted = %d after an oversized body", n)
+	}
+}
+
+// TestResultLineVerbatim pins the streamed result line: from both
+// POST /jobs?wait=1 and GET /jobs/{id}/result it equals
+// json.Marshal(jobEvent{...}) + "\n" over the stored result, and the
+// stored result carries no spare capacity.
+func TestResultLineVerbatim(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(Config{PoolWorkers: 2, Obs: reg})
+	defer m.Close()
+	srv := httptest.NewServer(Handler(m, reg))
+	defer srv.Close()
+
+	lastLine := func(resp *http.Response) []byte {
+		t.Helper()
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.LastIndexByte(blob[:len(blob)-1], '\n')
+		return blob[i+1:]
+	}
+	jc := smallJob(11)
+	jc.Baseline = string(fleet.BaselineDoubleDecker)
+	body, _ := json.Marshal(jc)
+	resp, err := http.Post(srv.URL+"/jobs?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := lastLine(resp)
+	jobs := m.Jobs()
+	if len(jobs) != 1 || jobs[0].State() != StateDone {
+		t.Fatalf("want one done job, got %d", len(jobs))
+	}
+	job := jobs[0]
+	raw := job.ResultJSON()
+	if cap(raw) != len(raw) {
+		t.Fatalf("stored result has cap %d for len %d", cap(raw), len(raw))
+	}
+	if !bytes.Equal(raw, standaloneJSON(t, job.Config)) {
+		t.Fatal("stored result diverged from standalone run")
+	}
+	want, err := json.Marshal(jobEvent{Event: "result", ID: job.ID, State: StateDone, Result: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if !bytes.Equal(posted, want) {
+		t.Fatalf("wait=1 result line\n got %s\nwant %s", posted, want)
+	}
+	resp, err = http.Get(srv.URL + "/jobs/" + job.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lastLine(resp); !bytes.Equal(got, want) {
+		t.Fatalf("GET result line\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestNonFiniteResultFailsJob pins the job-level handling of a result
+// JSON cannot carry: encoding fails with fleet.ErrNonFinite naming the
+// field, the job ends failed with that text, and its stream carries
+// the error, never a non-finite number.
+func TestNonFiniteResultFailsJob(t *testing.T) {
+	m := NewManager(Config{PoolWorkers: 1, Obs: obs.NewRegistry()})
+	defer m.Close()
+	res := &fleet.Result{Tags: make([]fleet.TagResult, 4)}
+	res.Tags[3].RSSIdBm = map[string]float64{"BLE": math.Inf(-1)}
+	raw, err := encodeResult(res)
+	if !errors.Is(err, fleet.ErrNonFinite) || raw != nil {
+		t.Fatalf("encodeResult = %q, %v; want ErrNonFinite", raw, err)
+	}
+
+	job := &Job{ID: "job-x", state: StateRunning, submitted: time.Now(), started: time.Now(),
+		done: make(chan struct{}), spans: obs.NewSpanRecorder()}
+	job.spanRoot = job.spans.Start("job", nil)
+	m.finishJob(job, res, raw, obs.Snapshot{}, nil, err)
+	const path = "tags[3].rssi_dbm.BLE = -Inf"
+	if job.State() != StateFailed || !strings.Contains(job.Err(), path) || job.ResultJSON() != nil {
+		t.Fatalf("job %s, err %q, result %q; want failed naming %q", job.State(), job.Err(), job.ResultJSON(), path)
+	}
+	rec := httptest.NewRecorder()
+	streamJob(m, rec, httptest.NewRequest("GET", "/jobs/job-x/result", nil), job)
+	var ev jobEvent
+	if err := json.Unmarshal(rec.Body.Bytes(), &ev); err != nil {
+		t.Fatalf("stream line %q: %v", rec.Body.Bytes(), err)
+	}
+	if ev.Event != "error" || ev.State != StateFailed || !strings.Contains(ev.Error, path) || ev.Result != nil {
+		t.Fatalf("stream line %+v", ev)
+	}
+}

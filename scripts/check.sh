@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full verification gate: build, vet, race-enabled tests, golden replay
-# diff, a short overlay fuzz smoke, the msserve end-to-end smoke
-# (race-built server, byte-identical results, graceful drain), and the
-# repository benchmark's smoke test. Mirrors `make check` for
-# environments without make.
+# diff, short overlay and result-encoder fuzz smokes, the msserve
+# end-to-end smoke (race-built server, byte-identical results, graceful
+# drain), and the repository benchmark's smoke test. Mirrors `make
+# check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,6 +23,8 @@ echo "== docs-check (dead intra-repo links)"
 sh scripts/docs_check.sh
 echo "== overlay fuzz smoke (5s)"
 go test -run - -fuzz FuzzPlanInvariants -fuzztime 5s ./internal/overlay
+echo "== result-encoder fuzz smoke (5s; AppendJSON vs json.Marshal)"
+go test -run - -fuzz FuzzResultAppendJSON -fuzztime 5s ./internal/fleet
 echo "== serve smoke (msserve + msload byte-identical, race-built)"
 sh scripts/serve_smoke.sh
 echo "== perfbench smoke (every workload at minimal size; fleet-dense digests at Workers=1 and nproc must match)"
