@@ -23,6 +23,14 @@ import (
 	"multiscatter/internal/tag"
 )
 
+// logOnce logs on the first benchmark iteration only.
+func logOnce(b *testing.B, i int, format string, args ...any) {
+	b.Helper()
+	if i == 0 {
+		b.Logf(format, args...)
+	}
+}
+
 func BenchmarkAblationMatchingOrder(b *testing.B) {
 	// The paper's resilience order (ZigBee → BLE → 11b → 11n) against
 	// its reverse and an interleaved order, at the 10 Msps quantized

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
@@ -571,22 +572,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			var harvester *energy.Harvester
 			var lux float64
 			if ec := t.spec.Energy; ec != nil {
-				load := ec.LoadW
-				if load <= 0 {
-					load = 0.2795
-				}
-				harvester = energy.NewHarvester(energy.NewMP337(), load)
-				if ec.HarvestJitterPct > 0 {
-					// Keyed by tag ID, not shard, so the jitter stream
-					// survives any change to the shard partition.
-					harvester.JitterPct = ec.HarvestJitterPct
-					harvester.Rand = sim.SeedRNGAt(cfg.Seed, sim.StreamEnergyHarvest, uint64(t.id))
-				}
+				// The jitter stream is keyed by tag ID, not shard, so it
+				// survives any change to the shard partition.
+				harvester = ec.NewHarvester(func() *rand.Rand {
+					return sim.SeedRNGAt(cfg.Seed, sim.StreamEnergyHarvest, uint64(t.id))
+				})
 				lux = ec.Lux
-				if ec.StartCharged {
-					for !harvester.Step(0.05, 1e9) {
-					}
-				}
 			}
 			clock := time.Duration(0)
 			wasActive := harvester == nil || harvester.Active()

@@ -7,15 +7,17 @@ import (
 	"io"
 )
 
-// WriteJSONL writes one JSON object per event, in stream order. Field
-// order is the Event struct order and every field is deterministic, so
-// two identically-seeded runs write byte-identical files — the form the
-// golden trace test diffs and `-trace <file>` emits by default.
-func WriteJSONL(w io.Writer, events []Event) error {
+// WriteJSONL writes one JSON object per record, in slice order. For an
+// Event stream the field order is the Event struct order and every
+// field is deterministic, so two identically-seeded runs write
+// byte-identical files — the form the golden trace test diffs and
+// `-trace <file>` emits by default. obs writes its span JSONL with it
+// too.
+func WriteJSONL[T any](w io.Writer, records []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
+	for i := range records {
+		if err := enc.Encode(&records[i]); err != nil {
 			return err
 		}
 	}
@@ -37,17 +39,25 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	}
 }
 
-// chromeEvent is one Chrome trace-event record ("X" complete spans and
-// "M" metadata), the subset Perfetto renders.
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace-event record ("X" complete spans and
+// "M" metadata), the subset Perfetto renders. Both trace exporters —
+// this package's sim-time packet stream and obs's wall-clock spans —
+// build these and hand them to WriteChromeEvents.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	TS   int64          `json:"ts"`
 	Dur  int64          `json:"dur,omitempty"`
 	PID  int32          `json:"pid"`
-	TID  int32          `json:"tid"`
+	TID  int64          `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
+}
+
+// WriteChromeEvents writes records inside the trace-event JSON envelope
+// loadable in https://ui.perfetto.dev.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": events, "displayTimeUnit": "ms"})
 }
 
 // WriteChromeTrace renders the stream as Chrome trace-event JSON,
@@ -69,12 +79,12 @@ func WriteChromeTrace(w io.Writer, label string, events []Event) error {
 	}
 	seenProc := map[int32]bool{}
 	seenThread := map[lifecycle]bool{}
-	out := make([]chromeEvent, 0, len(events)+16)
+	out := make([]ChromeEvent, 0, len(events)+16)
 	for i := range events {
 		ev := &events[i]
 		if !seenProc[ev.Shard] {
 			seenProc[ev.Shard] = true
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: "process_name", Ph: "M", PID: ev.Shard,
 				Args: map[string]any{"name": fmt.Sprintf("%s shard %d", label, ev.Shard)},
 			})
@@ -82,29 +92,25 @@ func WriteChromeTrace(w io.Writer, label string, events []Event) error {
 		tk := lifecycle{ev.Shard, ev.Tag}
 		if !seenThread[tk] {
 			seenThread[tk] = true
-			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: ev.Shard, TID: ev.Tag,
+			out = append(out, ChromeEvent{
+				Name: "thread_name", Ph: "M", PID: ev.Shard, TID: int64(ev.Tag),
 				Args: map[string]any{"name": fmt.Sprintf("tag %d", ev.Tag)},
 			})
 		}
 		dur := durs[lifecycle{ev.Tag, ev.Packet}]
-		slice := dur / int64(len(stageNames))
-		if slice < 1 {
-			slice = 1
-		}
-		out = append(out, chromeEvent{
+		slice := max(dur/int64(len(stageNames)), 1)
+		out = append(out, ChromeEvent{
 			Name: ev.Stage.String(),
 			Cat:  ev.Proto,
 			Ph:   "X",
 			TS:   ev.TUS + int64(ev.Stage)*slice,
 			Dur:  slice,
 			PID:  ev.Shard,
-			TID:  ev.Tag,
+			TID:  int64(ev.Tag),
 			Args: map[string]any{
 				"seq": ev.Seq, "pkt": ev.Packet, "proto": ev.Proto, "detail": ev.Detail,
 			},
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": out, "displayTimeUnit": "ms"})
+	return WriteChromeEvents(w, out)
 }

@@ -270,3 +270,24 @@ func BenchmarkRecordDisabled(b *testing.B) {
 		}
 	}
 }
+
+// TestChromeTraceBytes pins the exporter's exact output on a fixed,
+// hand-built stream: record field order, omitted empty fields, the
+// metadata records' placement, the per-stage slicing of the packet
+// window and the envelope are all part of the format.
+func TestChromeTraceBytes(t *testing.T) {
+	events := []Event{
+		{Seq: 0, TUS: 100, DurUS: 70, Shard: 0, Tag: 3, Packet: 0, Proto: "BLE", Stage: StageExcite},
+		{Seq: 1, TUS: 100, Shard: 0, Tag: 3, Packet: 0, Proto: "BLE", Stage: StageOutcome, Detail: "delivered"},
+		{Seq: 2, TUS: 250, DurUS: 2, Shard: 1, Tag: 4, Packet: 1, Proto: "ZigBee", Stage: StageExcite},
+		{Seq: 3, TUS: 250, Shard: 1, Tag: 4, Packet: 1, Proto: "ZigBee", Stage: StageIdentify, Detail: "misidentified"},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, "run", events); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"displayTimeUnit":"ms","traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"run shard 0"}},{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":3,"args":{"name":"tag 3"}},{"name":"excite","cat":"BLE","ph":"X","ts":100,"dur":10,"pid":0,"tid":3,"args":{"detail":"","pkt":0,"proto":"BLE","seq":0}},{"name":"outcome","cat":"BLE","ph":"X","ts":160,"dur":10,"pid":0,"tid":3,"args":{"detail":"delivered","pkt":0,"proto":"BLE","seq":1}},{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"run shard 1"}},{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":4,"args":{"name":"tag 4"}},{"name":"excite","cat":"ZigBee","ph":"X","ts":250,"dur":1,"pid":1,"tid":4,"args":{"detail":"","pkt":1,"proto":"ZigBee","seq":2}},{"name":"identify","cat":"ZigBee","ph":"X","ts":252,"dur":1,"pid":1,"tid":4,"args":{"detail":"misidentified","pkt":1,"proto":"ZigBee","seq":3}}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("chrome trace drifted:\n got %s\nwant %s", got, want)
+	}
+}

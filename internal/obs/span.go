@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"multiscatter/internal/obs/ptrace"
 )
 
 // SpanRecorder collects the spans of one traced operation tree — in the
@@ -177,26 +177,7 @@ func (r *SpanRecorder) Snapshot() []SpanSnapshot {
 // timestamps, so two runs never produce identical files; the format is
 // for operators and tooling, not golden diffs.
 func WriteSpanJSONL(w io.Writer, spans []SpanSnapshot) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range spans {
-		if err := enc.Encode(&spans[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// spanChromeEvent mirrors ptrace's Chrome trace-event subset ("X"
-// complete spans, "M" metadata) for span timelines.
-type spanChromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int32          `json:"pid"`
-	TID  int64          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	return ptrace.WriteJSONL(w, spans)
 }
 
 // WriteSpanChrome renders spans as Chrome trace-event JSON loadable in
@@ -224,8 +205,8 @@ func WriteSpanChrome(w io.Writer, label string, spans []SpanSnapshot) error {
 		}
 		return id
 	}
-	out := make([]spanChromeEvent, 0, len(spans)+1)
-	out = append(out, spanChromeEvent{
+	out := make([]ptrace.ChromeEvent, 0, len(spans)+1)
+	out = append(out, ptrace.ChromeEvent{
 		Name: "process_name", Ph: "M",
 		Args: map[string]any{"name": label},
 	})
@@ -235,21 +216,16 @@ func WriteSpanChrome(w io.Writer, label string, spans []SpanSnapshot) error {
 		for k, v := range s.Attrs {
 			args[k] = v
 		}
-		dur := s.DurNS / 1e3
-		if dur < 1 {
-			dur = 1
-		}
-		out = append(out, spanChromeEvent{
+		out = append(out, ptrace.ChromeEvent{
 			Name: s.Name,
 			Ph:   "X",
 			TS:   (s.StartUnixNS - t0) / 1e3,
-			Dur:  dur,
+			Dur:  max(s.DurNS/1e3, 1),
 			TID:  root(s.ID),
 			Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": out, "displayTimeUnit": "ms"})
+	return ptrace.WriteChromeEvents(w, out)
 }
 
 // String renders the span for debugging.

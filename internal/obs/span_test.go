@@ -164,3 +164,25 @@ func TestSpanChromeExport(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanChromeBytes pins WriteSpanChrome's exact output on fixed,
+// hand-built snapshots: timestamps relative to the earliest start,
+// the 1 µs duration floor, root-ancestor tracks, attrs merged into
+// args and the envelope are all part of the format.
+func TestSpanChromeBytes(t *testing.T) {
+	spans := []SpanSnapshot{
+		{ID: 1, Name: "job", StartUnixNS: 5_000_000, EndUnixNS: 9_000_000, DurNS: 4_000_000,
+			Attrs: map[string]string{"state": "done"}},
+		{ID: 2, Parent: 1, Name: "queued", StartUnixNS: 5_000_500, DurNS: 200},
+		{ID: 3, Parent: 2, Name: "running", StartUnixNS: 6_000_000, DurNS: 2_500_000},
+		{ID: 4, Name: "other", StartUnixNS: 4_000_000, DurNS: 1_000},
+	}
+	var buf bytes.Buffer
+	if err := WriteSpanChrome(&buf, "job-1", spans); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"displayTimeUnit":"ms","traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"job-1"}},{"name":"job","ph":"X","ts":1000,"dur":4000,"pid":0,"tid":1,"args":{"id":1,"parent":0,"state":"done"}},{"name":"queued","ph":"X","ts":1000,"dur":1,"pid":0,"tid":1,"args":{"id":2,"parent":1}},{"name":"running","ph":"X","ts":2000,"dur":2500,"pid":0,"tid":1,"args":{"id":3,"parent":2}},{"name":"other","ph":"X","ts":0,"dur":1,"pid":0,"tid":4,"args":{"id":4,"parent":0}}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("span chrome export drifted:\n got %s\nwant %s", got, want)
+	}
+}

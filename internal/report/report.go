@@ -1,24 +1,17 @@
-// Package report renders a complete experimental report — every table
-// and figure of the paper regenerated, with the paper's published values
-// alongside — as a single markdown document. cmd/msbench uses it for
-// the -markdown flag; CI pipelines can diff successive reports.
+// Package report holds the experiment registry: every table and figure
+// of the paper's evaluation, in report order, each of which runs once,
+// renders its markdown section next to the paper's published values
+// and records its machine-readable metrics. cmd/msbench renders the
+// full report or one experiment from it, BENCH_<date>.json holds its
+// metrics, and the root BenchmarkExperiments times each entry; CI
+// pipelines can diff successive reports.
 package report
 
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"multiscatter/internal/baseline"
-	"multiscatter/internal/channel"
-	"multiscatter/internal/core"
-	"multiscatter/internal/energy"
-	"multiscatter/internal/fleet"
-	"multiscatter/internal/fpga"
 	"multiscatter/internal/obs"
-	"multiscatter/internal/overlay"
-	"multiscatter/internal/radio"
-	"multiscatter/internal/serve"
 )
 
 // Options configures report generation.
@@ -27,8 +20,6 @@ type Options struct {
 	Trials int
 	// Seed for reproducibility.
 	Seed int64
-	// Title of the document.
-	Title string
 }
 
 func (o Options) withDefaults() Options {
@@ -38,349 +29,134 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Title == "" {
-		o.Title = "multiscatter — regenerated evaluation"
-	}
 	return o
 }
 
+// title heads the full report.
+const title = "multiscatter — regenerated evaluation"
+
 // Metrics is the machine-readable counterpart of the markdown report:
-// experiment id → metric name → value. Keys are stable across runs so CI
+// metric group → metric name → value. Keys are stable across runs so CI
 // can diff successive BENCH_<date>.json files numerically.
 type Metrics map[string]map[string]float64
 
-// Write runs every experiment and renders the report to w.
-func Write(w io.Writer, o Options) error {
-	_, err := WriteMetrics(w, o)
-	return err
+// Experiment is one entry of the registry.
+type Experiment struct {
+	// ID names the experiment for msbench -experiment and the
+	// BenchmarkExperiments sub-benchmark, and is the metric group its
+	// metrics land in (Figures 5, 7 and 8 share "identification").
+	ID string
+	// Title heads the experiment's markdown section.
+	Title string
+	// Paper quotes the published values the section compares against;
+	// empty for experiments the paper does not report.
+	Paper string
+	// Run runs the experiment once, writing its section body and
+	// recording its metrics through s, and reports a failure with
+	// s.fail.
+	Run func(s *Section)
 }
 
-// WriteMetrics renders the report to w and returns the collected metrics.
-// Experiments run once; both outputs come from the same numbers.
-func WriteMetrics(w io.Writer, o Options) (Metrics, error) {
-	o = o.withDefaults()
-	// Snapshot the default obs registry up front so the trailing metrics
-	// section shows this report's activity as a delta, not the process's
-	// cumulative totals — two identical seeded runs render identically.
-	before := obs.Default().Snapshot()
-	r := &renderer{w: w, o: o, metrics: Metrics{}}
-	r.printf("# %s\n\n", o.Title)
-	r.printf("Generated by `internal/report` with %d trials/protocol, seed %d.\n\n", o.Trials, o.Seed)
-
-	r.tables()
-	r.identification()
-	r.overlaySection()
-	r.ranges()
-	r.baselines()
-	r.diversity()
-	r.serveSection()
-	r.runMetrics(before)
-	return r.metrics, r.err
-}
-
-// Collect runs every experiment and returns only the metrics.
-func Collect(o Options) (Metrics, error) {
-	return WriteMetrics(io.Discard, o)
-}
-
-type renderer struct {
+// Section is what an experiment's Run writes its markdown to and
+// records its metrics in. The first error, of a write or a run, sticks:
+// later writes are dropped and later experiments do not run.
+type Section struct {
+	id      string
 	w       io.Writer
 	o       Options
-	err     error
 	metrics Metrics
+	err     error
 }
 
-func (r *renderer) printf(format string, args ...any) {
-	if r.err != nil {
+func (s *Section) printf(format string, args ...any) {
+	if s.err != nil {
 		return
 	}
-	_, r.err = fmt.Fprintf(r.w, format, args...)
+	_, s.err = fmt.Fprintf(s.w, format, args...)
 }
 
-// metric records one value under an experiment id.
-func (r *renderer) metric(exp, name string, v float64) {
-	m, ok := r.metrics[exp]
+// fail records the running experiment's failure.
+func (s *Section) fail(err error) {
+	if s.err == nil {
+		s.err = fmt.Errorf("%s: %w", s.id, err)
+	}
+}
+
+// metric records one value under the running experiment's id.
+func (s *Section) metric(name string, v float64) {
+	s.record(s.id, name, v)
+}
+
+// record records one value under an explicit metric group.
+func (s *Section) record(group, name string, v float64) {
+	m, ok := s.metrics[group]
 	if !ok {
 		m = map[string]float64{}
-		r.metrics[exp] = m
+		s.metrics[group] = m
 	}
 	m[name] = v
 }
 
-func (r *renderer) tables() {
-	r.printf("## System comparison (Table 1)\n\n")
-	r.printf("| system | excitation diversity | productive carrier | single commodity receiver |\n|---|---|---|---|\n")
-	yesNo := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "no"
-	}
-	for _, name := range baseline.Table1Order {
-		c := baseline.Table1[name]
-		r.printf("| %s | %s | %s | %s |\n",
-			name, yesNo(c.ExcitationDiversity), yesNo(c.ProductiveCarrier), yesNo(c.SingleCommodityReceiver))
-	}
-	r.printf("\nDouble-decker (arXiv 2408.16280) postdates the paper's table; it joins the single-commodity-receiver column via superposition decoding (see docs/CHANNELS.md).\n\n")
-
-	r.printf("## Hardware-cost tables\n\n")
-
-	naive := fpga.NaiveMultiprotocol(120, 4)
-	nano := fpga.QuantizedMultiprotocol(120, 4)
-	r.printf("**Table 2** — naive: %d multipliers / %d adders / %d DFFs (paper 480/476/133,364); nano: %d DFFs (paper 2,860), fits AGLN250: %v.\n\n",
-		naive.Multipliers, naive.Adders, naive.DFFs, nano.DFFs, nano.FitsAGLN250())
-	r.metric("table2", "naive_multipliers", float64(naive.Multipliers))
-	r.metric("table2", "naive_adders", float64(naive.Adders))
-	r.metric("table2", "naive_dffs", float64(naive.DFFs))
-	r.metric("table2", "nano_dffs", float64(nano.DFFs))
-
-	p := fpga.NewPowerBreakdown()
-	r.printf("**Table 3** — %.1f + %.0f + %.1f + %.1f + %.1f = **%.1f mW** (paper 279.5).\n\n",
-		p.PacketDetectFPGAmW, p.ADCmW, p.ModulationFPGAmW, p.RFSwitchMW, p.OscillatorMW, p.TotalMW())
-	r.metric("table3", "total_mw", p.TotalMW())
-
-	r.printf("**Table 4** — tag-data exchange times (paper indoor: 0.6/0.6/17.2/60.1 s):\n\n")
-	r.printf("| protocol | pkts/round | indoor (s) | outdoor (s) |\n|---|---|---|---|\n")
-	for _, row := range energy.ExchangeTable(p.TotalMW() / 1e3) {
-		r.printf("| %v | %.1f | %.3g | %.3g |\n", row.Protocol, row.PacketsPerRound, row.IndoorSeconds, row.OutdoorSeconds)
-		r.metric("table4", fmt.Sprintf("indoor_s_%v", row.Protocol), row.IndoorSeconds)
-		r.metric("table4", fmt.Sprintf("outdoor_s_%v", row.Protocol), row.OutdoorSeconds)
-	}
-	r.printf("\n**Table 5** — identification power (paper 564 → 12 → 2 mW, 282×):\n\n")
-	r.printf("| setup | power (mW) | LUTs | saving |\n|---|---|---|---|\n")
-	for _, s := range []fpga.IdentSetup{
-		{RateMsps: 20, Quantized: false},
-		{RateMsps: 20, Quantized: true},
-		{RateMsps: 2.5, Quantized: true},
-	} {
-		c := fpga.IdentCostOf(s)
-		r.printf("| %.3g MS/s quant=%v | %.3g | %d | %.0f× |\n",
-			s.RateMsps, s.Quantized, c.PowerMW, c.LUTs, fpga.PowerSavingFactor(s))
-		r.metric("table5", fmt.Sprintf("power_mw_%.3gmsps_quant=%v", s.RateMsps, s.Quantized), c.PowerMW)
-	}
-	r.printf("\n")
-}
-
-func (r *renderer) identRun(rate float64, quant, ext, ordered bool) float64 {
-	if r.err != nil {
-		return 0
-	}
-	c, _, err := core.RunIdentification(core.IdentifyOptions{
-		ADCRate: rate, Quantized: quant, Extended: ext, Ordered: ordered,
-		Trials: r.o.Trials, Seed: r.o.Seed,
-	})
-	if err != nil {
-		r.err = err
-		return 0
-	}
-	return c.Average()
-}
-
-func (r *renderer) identification() {
-	r.printf("## Identification (Figures 5, 7, 8)\n\n")
-	r.printf("| operating point | measured | paper |\n|---|---|---|\n")
-	points := []struct {
-		label, key string
-		paper      string
-		rate       float64
-		quant      bool
-		ext        bool
-		ordered    bool
-	}{
-		{"20 Msps, full precision, ordered", "accuracy_20msps_full_ordered", "0.997", 20e6, false, false, true},
-		{"10 Msps, ±1, blind", "accuracy_10msps_quant_blind", "0.906", 10e6, true, false, false},
-		{"10 Msps, ±1, ordered", "accuracy_10msps_quant_ordered", "0.976", 10e6, true, false, true},
-		{"2.5 Msps, ±1, 8 µs window", "accuracy_2.5msps_quant_ordered", "0.485", 2.5e6, true, false, true},
-		{"2.5 Msps, ±1, 40 µs window", "accuracy_2.5msps_quant_extended", "0.93", 2.5e6, true, true, true},
-		{"1 Msps, ±1, 40 µs window", "accuracy_1msps_quant_extended", "≈0.5", 1e6, true, true, true},
-	}
-	for _, pt := range points {
-		acc := r.identRun(pt.rate, pt.quant, pt.ext, pt.ordered)
-		r.printf("| %s | %.3f | %s |\n", pt.label, acc, pt.paper)
-		r.metric("identification", pt.key, acc)
-	}
-	r.printf("\n")
-}
-
-func (r *renderer) overlaySection() {
-	r.printf("## Overlay trade-offs (Figure 12, Table 6)\n\n")
-	r.printf("| protocol | mode | productive (kbps) | tag (kbps) |\n|---|---|---|---|\n")
-	for _, row := range core.RunTradeoffs() {
-		r.printf("| %v | %v | %.1f | %.1f |\n", row.Protocol, row.Mode, row.ProductiveKbps, row.TagKbps)
-		r.metric("fig12", fmt.Sprintf("aggregate_kbps_%v_%v", row.Protocol, row.Mode), row.Aggregate())
-	}
-	r.printf("\nPaper anchor: mode-1 BLE aggregate 278.4 kbps (141.6 + 136.8).\n\n")
-}
-
-func (r *renderer) ranges() {
-	r.printf("## Ranges (Figures 13, 14)\n\n")
-	r.printf("| protocol | LoS range (m) | NLoS range (m) | paper LoS | paper NLoS |\n|---|---|---|---|---|\n")
-	paperLoS := map[radio.Protocol]string{
-		radio.Protocol80211b: "28", radio.Protocol80211n: "28",
-		radio.ProtocolZigBee: "22", radio.ProtocolBLE: "20",
-	}
-	paperNLoS := map[radio.Protocol]string{
-		radio.Protocol80211b: "22", radio.Protocol80211n: "22",
-		radio.ProtocolZigBee: "18", radio.ProtocolBLE: "16",
-	}
-	for _, p := range radio.Protocols {
-		l := core.NewLink(p, channel.NewLoS())
-		n := core.NewLink(p, channel.NewNLoS())
-		losM, nlosM := l.MaxRange(0.5, 40), n.MaxRange(0.5, 40)
-		r.printf("| %v | %.1f | %.1f | %s | %s |\n", p, losM, nlosM, paperLoS[p], paperNLoS[p])
-		r.metric("fig13", fmt.Sprintf("max_range_m_%v", p), losM)
-		r.metric("fig14", fmt.Sprintf("max_range_m_%v", p), nlosM)
-	}
-	r.printf("\n")
-}
-
-func (r *renderer) baselines() {
-	r.printf("## Baselines (Figures 9, 15)\n\n")
-	bers, offsets := core.RunBaselineFailure()
-	r.printf("| system | wall | tag BER |\n|---|---|---|\n")
-	for _, b := range bers {
-		r.printf("| %s | %v | %.4f |\n", b.System, b.Wall, b.TagBER)
-		r.metric("fig9", fmt.Sprintf("tag_ber_%s_%v", b.System, b.Wall), b.TagBER)
-	}
-	r.printf("\nMax modulation offset: %.0f symbols (paper: up to 8).\n\n", offsets.MaxY())
-	r.metric("fig9", "max_offset_symbols", offsets.MaxY())
-
-	r.printf("| system | tag throughput behind drywall (kbps) |\n|---|---|\n")
-	for _, row := range core.RunOcclusion() {
-		r.printf("| %s | %.1f |\n", row.System, row.TagKbps)
-		r.metric("fig15", fmt.Sprintf("tag_kbps_%s", row.System), row.TagKbps)
-	}
-	r.printf("\nPaper: multiscatter 136/121, Hitchhike 94, FreeRider 33. Double-decker decodes the superposed stream at ONE commodity receiver (arXiv 2408.16280), paying a γ·spread capacity budget instead of a second radio.\n\n")
-
-	ddCfg := baseline.DoubleDeckerConfig{}
-	r.printf("Occlusion sweep — Double-decker has no original receiver to occlude, so its curve is flat while the dual-receiver baselines decay:\n\n")
-	r.printf("| wall | Double-decker (kbps) | Hitchhike (kbps) | FreeRider (kbps) |\n|---|---|---|---|\n")
-	for _, p := range core.RunOcclusionSweep() {
-		r.printf("| %v | %.1f | %.1f | %.1f |\n", p.Wall, p.DoubleDeckerKbps, p.HitchhikeKbps, p.FreeRiderKbps)
-		r.metric("fig15", fmt.Sprintf("doubledecker_tag_kbps_%v", p.Wall), p.DoubleDeckerKbps)
-	}
-	trB := overlay.DefaultTraffic(radio.Protocol80211b)
-	r.metric("fig15", "doubledecker_tag_kbps", baseline.DoubleDeckerThroughputKbps(ddCfg, trB, radio.Protocol80211b))
-	r.metric("fig15", "doubledecker_sinr_db", baseline.DoubleDeckerSINRdB(ddCfg))
-	r.metric("fig15", "doubledecker_tag_ber", baseline.DoubleDeckerTagBER(ddCfg, radio.Protocol80211b))
-
-	wfBER, err := core.RunDoubleDeckerDecode(3, r.o.Seed)
-	if err != nil {
-		r.err = err
+// run writes e's heading, runs it and closes the section with a blank
+// line.
+func (s *Section) run(e Experiment) {
+	if s.err != nil {
 		return
 	}
-	r.printf("\nWaveform-level single-receiver decode (real DSSS frames, pilot-estimated H_d cancellation, coherent H_b slicing): measured tag BER %.4f.\n\n", wfBER)
-	r.metric("fig15", "doubledecker_waveform_ber", wfBER)
+	s.id = e.ID
+	s.printf("## %s\n\n", e.Title)
+	if e.Paper != "" {
+		s.printf("Paper: %s.\n\n", e.Paper)
+	}
+	e.Run(s)
+	s.printf("\n")
 }
 
-func (r *renderer) diversity() {
-	r.printf("## Excitation diversity (Figures 16, 18)\n\n")
-	timeDom, freqDom := core.RunCollisions(r.o.Seed)
-	r.printf("Time-domain collision (802.11n + BLE):\n\n")
-	r.printf("| protocol | alone (kbps) | collided (kbps) |\n|---|---|---|\n")
-	for _, c := range timeDom {
-		r.printf("| %v | %.1f | %.1f |\n", c.Protocol, c.AloneKbps, c.CollidedKbps)
-		r.metric("fig16", fmt.Sprintf("time_collided_kbps_%v", c.Protocol), c.CollidedKbps)
-	}
-	r.printf("\nFrequency-domain collision (802.11n + ZigBee):\n\n")
-	r.printf("| protocol | alone (kbps) | collided (kbps) |\n|---|---|---|\n")
-	for _, c := range freqDom {
-		r.printf("| %v | %.1f | %.1f |\n", c.Protocol, c.AloneKbps, c.CollidedKbps)
-		r.metric("fig16", fmt.Sprintf("freq_collided_kbps_%v", c.Protocol), c.CollidedKbps)
-	}
-	r.printf("\nConcurrent multi-tag OFDM (joint subcarrier-group decoding vs capture):\n\n")
-	r.printf("| tags | joint aggregate (kbps) | capture baseline (kbps) | Jain |\n|---|---|---|---|\n")
-	pts, err := fleet.ConcurrencySweep(4, 2*time.Second, r.o.Seed)
-	if err != nil {
-		r.err = err
-		return
-	}
-	for _, p := range pts {
-		r.printf("| %d | %.2f | %.2f | %.3f |\n", p.N, p.AggregateKbps, p.BaselineKbps, p.Jain)
-		r.metric("fig16", fmt.Sprintf("concurrent_aggregate_kbps_n%d", p.N), p.AggregateKbps)
-		r.metric("fig16", fmt.Sprintf("concurrent_baseline_kbps_n%d", p.N), p.BaselineKbps)
-	}
-	r.metric("fig16", "concurrent_jain_n4", pts[len(pts)-1].Jain)
-	joint, err := core.RunJointOFDM([]float64{0, 5, 15}, 3, r.o.Seed)
-	if err != nil {
-		r.err = err
-		return
-	}
-	r.printf("\nWaveform-level joint decode (per-tag BER, BPSK):\n\n")
-	r.printf("| k | 0 dB | 5 dB | 15 dB | bits/frame/tag |\n|---|---|---|---|---|\n")
-	byK := map[int][]core.JointOFDMPoint{}
-	order := []int{}
-	for _, p := range joint {
-		if _, ok := byK[p.K]; !ok {
-			order = append(order, p.K)
-		}
-		byK[p.K] = append(byK[p.K], p)
-		r.metric("fig16", fmt.Sprintf("joint_tag_ber_k%d_snr%gdB", p.K, p.SNRdB), p.TagBER)
-	}
-	for _, k := range order {
-		row := byK[k]
-		r.printf("| %d | %.4f | %.4f | %.4f | %d |\n",
-			k, row[0].TagBER, row[1].TagBER, row[2].TagBER, row[0].TagBitsPerFrame)
-	}
-	r.printf("\n")
-	d := core.RunDiversity()
-	r.printf("\nFigure 18a: multiscatter %.1f kbps (busy %.0f%%) vs single-protocol %.1f kbps (busy %.0f%%).\n",
-		d.MultiKbps, d.MultiBusyFrac*100, d.SingleKbps, d.SingleBusyFrac*100)
-	r.metric("fig18", "multi_kbps", d.MultiKbps)
-	r.metric("fig18", "single_kbps", d.SingleKbps)
-	pick := core.RunCarrierPick()
-	r.metric("fig18", "picked_kbps", pick.PickedKbps)
-	r.printf("Figure 18b: picked %v at %.1f kbps (target %.1f kbps met: %v); 802.11b-only %.1f kbps (met: %v).\n\n",
-		pick.Picked, pick.PickedKbps, core.BraceletGoodputKbps, pick.MeetsTarget,
-		pick.SingleKbps, pick.SingleMeets)
-	r.printf("_Overlay mode constants: γ = %v/%v/%v/%v for 11b/11n/BLE/ZigBee._\n",
-		overlay.Gammas[radio.Protocol80211b], overlay.Gammas[radio.Protocol80211n],
-		overlay.Gammas[radio.ProtocolBLE], overlay.Gammas[radio.ProtocolZigBee])
+// Render runs e alone, writes its markdown section to w and returns
+// the metrics it recorded. The section is byte-identical to e's section
+// in the full report.
+func (e Experiment) Render(w io.Writer, o Options) (Metrics, error) {
+	s := &Section{w: w, o: o.withDefaults(), metrics: Metrics{}}
+	s.run(e)
+	return s.metrics, s.err
 }
 
-// serveSection runs the fixed fleet-service workload (the same job set
-// BenchmarkServeConcurrentJobs submits) through a private serve.Manager
-// and records only sim-domain numbers: per-job results are
-// byte-identical to standalone runs, so every metric here is
-// deterministic and the committed-baseline diff stays empty. Wall-clock
-// service throughput lives in the Go benchmark and msload output.
-func (r *renderer) serveSection() {
-	if r.err != nil {
-		return
-	}
-	jobs := serve.BenchJobs(8)
-	m := serve.NewManager(serve.Config{Obs: obs.NewRegistry()})
-	defer m.Close()
-	submitted := make([]*serve.Job, 0, len(jobs))
-	for _, jc := range jobs {
-		j, err := m.Submit(jc)
-		if err != nil {
-			r.err = err
-			return
+// Lookup returns the registry entry with the given id.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
 		}
-		submitted = append(submitted, j)
 	}
-	r.printf("## Fleet service (msserve shared-pool workload)\n\n")
-	r.printf("| job | scenario | seed | packets | fleet (kbps) |\n|---|---|---|---|---|\n")
-	var sumKbps float64
-	var packets int
-	for i, j := range submitted {
-		<-j.Done()
-		res := j.Result()
-		if res == nil {
-			r.err = fmt.Errorf("serve job %s: %s", j.ID, j.Err())
-			return
-		}
-		r.printf("| %d | %s | %d | %d | %.2f |\n",
-			i+1, j.Config.Scenario, j.Config.Seed, res.Events, res.FleetTagKbps)
-		sumKbps += res.FleetTagKbps
-		packets += res.Events
+	return Experiment{}, false
+}
+
+// IDs lists the registry's ids in report order.
+func IDs() []string {
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		ids[i] = e.ID
 	}
-	r.printf("\n%d concurrent jobs on one shared pool; results byte-identical to standalone runs (see docs/SERVICE.md).\n\n",
-		len(jobs))
-	r.metric("serve", "jobs_done", float64(len(jobs)))
-	r.metric("serve", "packets_total", float64(packets))
-	r.metric("serve", "sum_fleet_tag_kbps", sumKbps)
+	return ids
+}
+
+// WriteMetrics renders the full report to w — the title, every
+// experiment's section in registry order and the run-metrics trailer —
+// and returns the metrics the experiments recorded. Each experiment
+// runs once; both outputs come from the same numbers.
+func WriteMetrics(w io.Writer, o Options) (Metrics, error) {
+	s := &Section{w: w, o: o.withDefaults(), metrics: Metrics{}}
+	// Snapshot the default obs registry up front so the trailing metrics
+	// section shows this report's activity as a delta, not the process's
+	// cumulative totals — two identical seeded runs render identically.
+	before := obs.Default().Snapshot()
+	s.printf("# %s\n\n", title)
+	s.printf("Generated by `internal/report` with %d trials/protocol, seed %d.\n\n", s.o.Trials, s.o.Seed)
+	for _, e := range Experiments {
+		s.run(e)
+	}
+	s.runMetrics(before)
+	return s.metrics, s.err
 }
 
 // runMetrics appends the observability section: the obs counters this
@@ -389,12 +165,12 @@ func (r *renderer) serveSection() {
 // for a fixed (trials, seed), so the section is byte-identical across
 // repeated runs, keeping full-report diffs clean. Wall-clock stages and
 // histograms stay on the -obs HTTP endpoint.
-func (r *renderer) runMetrics(before obs.Snapshot) {
+func (s *Section) runMetrics(before obs.Snapshot) {
 	delta := obs.Default().Snapshot().Sub(before).CountersOnly()
 	if len(delta.Counters) == 0 {
 		return
 	}
-	r.printf("\n## Run metrics\n\n")
-	r.printf("Simulator work performed while generating this report (see docs/OBSERVABILITY.md):\n\n")
-	r.printf("%s", delta.Markdown())
+	s.printf("## Run metrics\n\n")
+	s.printf("Simulator work performed while generating this report (see docs/OBSERVABILITY.md):\n\n")
+	s.printf("%s", delta.Markdown())
 }

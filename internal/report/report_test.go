@@ -87,7 +87,7 @@ func TestWriteReportPropagatesErrors(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Trials != 30 || o.Seed != 1 || o.Title == "" {
+	if o.Trials != 30 || o.Seed != 1 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"multiscatter/internal/channel"
@@ -109,6 +110,28 @@ type EnergyConfig struct {
 	// harvested power (relative σ per step), drawn from the dedicated
 	// StreamEnergyHarvest stream. Zero keeps harvesting deterministic.
 	HarvestJitterPct float64
+}
+
+// NewHarvester builds a tag's harvester: the configured load (default
+// the COTS prototype's 279.5 mW), harvest jitter drawn from the stream
+// jitterRNG returns (called only when HarvestJitterPct > 0, so a
+// jitter-free tag seeds no stream), and a capacitor charged to the wake
+// threshold when StartCharged.
+func (c *EnergyConfig) NewHarvester(jitterRNG func() *rand.Rand) *energy.Harvester {
+	load := c.LoadW
+	if load <= 0 {
+		load = 0.2795
+	}
+	h := energy.NewHarvester(energy.NewMP337(), load)
+	if c.HarvestJitterPct > 0 {
+		h.JitterPct = c.HarvestJitterPct
+		h.Rand = jitterRNG()
+	}
+	if c.StartCharged {
+		for !h.Step(0.05, 1e9) {
+		}
+	}
+	return h
 }
 
 // Config describes one simulated deployment.
@@ -253,20 +276,10 @@ func Run(cfg Config) (*Result, error) {
 	var harvester *energy.Harvester
 	var lux float64
 	if cfg.Energy != nil {
-		load := cfg.Energy.LoadW
-		if load <= 0 {
-			load = 0.2795
-		}
-		harvester = energy.NewHarvester(energy.NewMP337(), load)
-		if cfg.Energy.HarvestJitterPct > 0 {
-			harvester.JitterPct = cfg.Energy.HarvestJitterPct
-			harvester.Rand = SeedRNG(cfg.Seed, StreamEnergyHarvest)
-		}
+		harvester = cfg.Energy.NewHarvester(func() *rand.Rand {
+			return SeedRNG(cfg.Seed, StreamEnergyHarvest)
+		})
 		lux = cfg.Energy.Lux
-		if cfg.Energy.StartCharged {
-			for !harvester.Step(0.05, 1e9) {
-			}
-		}
 	}
 
 	events := excite.Timeline(cfg.Sources, cfg.Span, rng)

@@ -1,7 +1,7 @@
 // Package stats provides the measurement plumbing for multiscatter
 // experiments: confusion matrices for identification accuracy, labelled
-// data series for the figure-regenerating benches, and tabular
-// formatting shared by cmd/msbench and the benchmarks.
+// data series for the regenerated figures, and their markdown tables,
+// which the experiment registry (internal/report) renders.
 package stats
 
 import (
@@ -76,24 +76,24 @@ func (c *Confusion) Total() int {
 	return total
 }
 
-// String renders the matrix as a table.
+// String renders the matrix as a markdown table, one row per true
+// protocol with its accuracy, followed by the average accuracy.
 func (c *Confusion) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "truth\\dec")
-	cols := append([]radio.Protocol{}, radio.Protocols...)
-	cols = append(cols, radio.ProtocolUnknown)
+	cols := append(append([]radio.Protocol{}, radio.Protocols...), radio.ProtocolUnknown)
+	b.WriteString("| truth \\ decided |")
 	for _, p := range cols {
-		fmt.Fprintf(&b, "%10s", p)
+		fmt.Fprintf(&b, " %v |", p)
 	}
-	fmt.Fprintf(&b, "%10s\n", "acc")
+	b.WriteString(" accuracy |\n|---|" + strings.Repeat("---|", len(cols)+1) + "\n")
 	for _, truth := range radio.Protocols {
-		fmt.Fprintf(&b, "%-10s", truth)
+		fmt.Fprintf(&b, "| %v |", truth)
 		for _, dec := range cols {
-			fmt.Fprintf(&b, "%10d", c.Counts[truth][dec])
+			fmt.Fprintf(&b, " %d |", c.Counts[truth][dec])
 		}
-		fmt.Fprintf(&b, "%10.3f\n", c.Accuracy(truth))
+		fmt.Fprintf(&b, " %.3f |\n", c.Accuracy(truth))
 	}
-	fmt.Fprintf(&b, "average accuracy: %.3f (n=%d)\n", c.Average(), c.Total())
+	fmt.Fprintf(&b, "\naverage accuracy: %.3f (n=%d)\n", c.Average(), c.Total())
 	return b.String()
 }
 
@@ -151,8 +151,9 @@ func (s *Series) LastXAbove(threshold float64) float64 {
 	return best
 }
 
-// Table renders one or more series sharing an X axis as an aligned text
-// table with the given X-axis label.
+// Table renders one or more series sharing an X axis as a markdown
+// table with the given X-axis label. Values print with four significant
+// digits; a series without a sample at some X shows "-" there.
 func Table(xLabel string, series ...*Series) string {
 	xs := map[float64]bool{}
 	for _, s := range series {
@@ -167,22 +168,22 @@ func Table(xLabel string, series ...*Series) string {
 	sort.Float64s(sorted)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s", xLabel)
+	fmt.Fprintf(&b, "| %s |", xLabel)
 	for _, s := range series {
 		name := s.Name
 		if s.Unit != "" {
 			name += " (" + s.Unit + ")"
 		}
-		fmt.Fprintf(&b, "%18s", name)
+		fmt.Fprintf(&b, " %s |", name)
 	}
-	b.WriteByte('\n')
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(series)) + "\n")
 	for _, x := range sorted {
-		fmt.Fprintf(&b, "%-12.4g", x)
+		fmt.Fprintf(&b, "| %.4g |", x)
 		for _, s := range series {
 			if y, ok := s.YAt(x); ok {
-				fmt.Fprintf(&b, "%18.4g", y)
+				fmt.Fprintf(&b, " %.4g |", y)
 			} else {
-				fmt.Fprintf(&b, "%18s", "-")
+				b.WriteString(" - |")
 			}
 		}
 		b.WriteByte('\n')

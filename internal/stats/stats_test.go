@@ -82,12 +82,16 @@ func TestTable(t *testing.T) {
 	if !strings.Contains(out, "A (m)") || !strings.Contains(out, "B") {
 		t.Fatalf("headers missing:\n%s", out)
 	}
-	// X=1 exists only in A; B's cell renders "-".
+	// Header, separator and one markdown row per X; X=1 exists only in
+	// A, so B's cell renders "-".
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
+	if len(lines) != 4 {
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
 	}
-	if !strings.Contains(lines[1], "-") {
-		t.Fatalf("missing-value marker absent: %q", lines[1])
+	if lines[1] != "|---|---|---|" {
+		t.Fatalf("separator = %q", lines[1])
+	}
+	if lines[2] != "| 1 | 10 | - |" {
+		t.Fatalf("missing-value row = %q", lines[2])
 	}
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full verification gate: build, vet, race-enabled tests, golden replay
-# diff, short overlay and result-encoder fuzz smokes, the msserve
+# diff, every msbench experiment and its benchmark run once, short
+# overlay and result-encoder fuzz smokes, the msserve
 # end-to-end smoke (race-built server, byte-identical results, graceful
 # drain), and the repository benchmark's smoke test. Mirrors `make
 # check` for environments without make.
@@ -15,10 +16,10 @@ echo "== go test -race ./..."
 go test -race ./...
 echo "== replay-diff (golden trace, serial vs parallel)"
 go test -run TestGoldenTrace -count=1 ./internal/replay
-echo "== fig15-demo (three-system occlusion comparison incl. Double-decker)"
-go run ./cmd/msbench -experiment fig15
-echo "== fig16-demo (concurrent multi-tag OFDM curve)"
-go run ./cmd/msbench -experiment fig16
+echo "== msbench -experiment all (every registry experiment, rendered as markdown)"
+go run ./cmd/msbench -experiment all
+echo "== experiment benchmarks (BenchmarkExperiments, one iteration each)"
+go test -run - -bench BenchmarkExperiments -benchtime 1x .
 echo "== docs-check (dead intra-repo links)"
 sh scripts/docs_check.sh
 echo "== overlay fuzz smoke (5s)"
